@@ -2,15 +2,16 @@ module Make
     (F : Kp_field.Field_intf.FIELD)
     (C : Kp_poly.Conv.S with type elt = F.t) =
 struct
-  module P = Pipeline.Make (F) (C)
+  (* the rank search's dense solver already carries the attempt skeleton:
+     share it rather than instantiating a second one *)
+  module R = Rank.Make (F) (C)
+  module A = R.S.A
+  module P = A.P
   module M = P.M
   module K = P.K
-  module MD = Kp_matrix.Dense.Make (F)
-  module Sh = Kp_shard.Sharded.Make (F)
   module MBM = Kp_seqgen.Matrix_bm.Make (F)
   module G = Kp_matrix.Gauss.Make (F)
   module Pc = Kp_precond.Precond
-  module SP = Kp_precond.Precond.Make (F) (C)
 
   module O = Kp_robust.Outcome
   module Rt = Kp_robust.Retry
@@ -20,29 +21,6 @@ struct
   let c_blocks = Cnt.make "block.krylov.blocks"
   let c_escalate = Cnt.make "block.factor.escalate"
   let c_batched = Cnt.make "block.solve.batched"
-
-  let default_card_s n =
-    let bound = max (4 * 3 * n * n) 64 in
-    match F.cardinality with Some q -> min bound q | None -> bound
-
-  let charpoly_for_field ~pool ~n =
-    if F.characteristic = 0 || F.characteristic > n then
-      P.charpoly_leverrier_pooled pool
-    else P.charpoly_chistov_pooled pool
-
-  (* sequential, pool-parallel or row-block sharded product — all
-     bit-identical; ?shards makes every blocked Krylov product Ãⁱ·V and
-     projection Uᵀ·Kᵢ fan out as row blocks over the pool *)
-  let mul_of ?shards pool =
-    match shards with
-    | Some s -> Sh.mul_fn ?pool ~shards:s ()
-    | None -> (
-      match pool with
-      | None -> MD.mul
-      | Some pool -> MD.mul_parallel pool)
-
-  let policy ?deadline_ns ~kind retries =
-    Rt.policy ~retries ~max_card_s:(SP.escalation_ceiling kind) ?deadline_ns ()
 
   (* wide enough to use every worker of the pool and to amortize the kernel
      call overhead on large systems, but never wider than n/2 (a block the
@@ -70,31 +48,25 @@ struct
 
   (* ---- the block Krylov phase ----
 
-     Draw the §2 preconditioner P, a b×n projection Uᵀ and an n×b start
-     block V whose first columns are the right-hand sides (the rest
-     random); produce K_i = Ãⁱ·V for i < σ and the projected b×b sequence
-     S_i = Uᵀ·K_i.  Each step is one kernel-backed n×n by n×b product —
-     the b-column replacement for the scalar engine's matvec chain. *)
-  let krylov_phase ~mul ~charpoly ~kind st ~card_s ~b (a : M.t) ~rhs =
+     Given the attempt's preconditioner P, draw an n×b start block V whose
+     first columns are the right-hand sides (the rest random) and a b×n
+     projection Uᵀ; produce K_i = Ãⁱ·V for i < σ and the projected b×b
+     sequence S_i = Uᵀ·K_i.  Each step is one kernel-backed n×n by n×b
+     product — the b-column replacement for the scalar engine's matvec
+     chain. *)
+  let krylov_phase ~mul ~p st ~card_s ~b (a : M.t) ~rhs =
     let n = a.M.rows in
-    let p = SP.build ~charpoly ~card_s ~n kind st in
     let a_tilde = P.preconditioned ~mul a p in
     let k = Array.length rhs in
     let v =
       M.init n b (fun i j ->
           if j < k then rhs.(j).(i) else F.sample st ~card_s)
     in
-    let ut = MD.sample st ~card_s b n in
+    let ut = A.MD.sample st ~card_s b n in
     let m = sigma ~n ~b in
     let ks = Span.with_ "block.sequence" @@ fun () -> K.blocks ~mul a_tilde v m in
     Cnt.add c_blocks m;
-    let seq = K.block_sequence ~mul ~ut ks in
-    (p, ks, seq)
-
-  let p_nonsingular (p : P.precond) () =
-    match p.Pc.det () with
-    | exception Division_by_zero -> false
-    | dp -> not (F.is_zero dp)
+    (ks, K.block_sequence ~mul ~ut ks)
 
   (* ---- generator recovery and validation ----
 
@@ -104,8 +76,9 @@ struct
      the space — or Ã is singular, witnessed when P is invertible), and
      (d) have non-singular F(0) (the block analogue of f(0) ≠ 0; singular
      F(0) with invertible P witnesses λ | χ_Ã, i.e. singularity of A). *)
-  let generator_phase ~b ~n ~sigma ~h_ok seq =
+  let generator_phase ~b ~n ~p seq =
     Span.with_ "block.generator" @@ fun () ->
+    let sigma = sigma ~n ~b in
     let gen = MBM.minimal_generator ~b seq in
     if not (MBM.generates ~b seq gen) then
       Error (Rt.Reject (O.Fault "block generator check failed"))
@@ -113,17 +86,13 @@ struct
       let det_lam = G.det (square_of_flat b (MBM.leading_term gen)) in
       let dsum = MBM.degree_sum gen in
       if F.is_zero det_lam then Error (Rt.Reject O.Low_degree)
-      else if dsum < n then
-        if h_ok () then Error (Rt.Reject_with_witness O.Low_degree)
-        else Error (Rt.Reject O.Low_degree)
+      else if dsum < n then Error (A.witness p O.Low_degree)
       else if dsum > n || Array.exists (fun dj -> dj > sigma) gen.MBM.degrees
       then Error (Rt.Reject O.Low_degree)
       else begin
         let f0 = square_of_flat b (MBM.constant_term gen) in
         let det_f0 = G.det f0 in
-        if F.is_zero det_f0 then
-          if h_ok () then Error (Rt.Reject_with_witness O.Zero_constant_term)
-          else Error (Rt.Reject O.Zero_constant_term)
+        if F.is_zero det_f0 then Error (A.witness p O.Zero_constant_term)
         else Ok (gen, f0, det_lam, det_f0)
       end
     end
@@ -171,25 +140,25 @@ struct
         Ok (Array.map Option.get xs)
       else Error (Rt.Reject O.Residual_mismatch)
 
+  (* the per-call set-up of every entry point, then the attempt loop over
+     fresh P draws *)
+  let run ~op ~retries ?deadline_ns ~card_s ~pool ~shards ~precond st n body =
+    let mul = A.mul_of ?shards pool in
+    let charpoly = A.charpoly_for_field ?pool ~n in
+    A.run ~ns:"block" ~op ~retries ?deadline_ns ~card_s ~charpoly ~n precond st
+      (body ~mul)
+
   (* one batched block solve: all right-hand sides of the chunk ride the
      same Krylov sequence (k ≤ b columns of V), one generator serves all *)
   let solve_chunk ~retries ?deadline_ns ~card_s ~pool ~shards ~b ~precond st
       (a : M.t) rhs =
     let n = a.M.rows in
-    let mul = mul_of ?shards pool in
-    let charpoly = charpoly_for_field ~pool ~n in
-    let k = Array.length rhs in
-    let requested = Pc.resolve precond in
-    Rt.run ~ns:"block" ~op:"solve"
-      ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-    @@ fun ~attempt ~card_s ->
-    let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-    let b_eff = max k (attempt_block ~n ~b ~attempt) in
-    let p, ks, seq = krylov_phase ~mul ~charpoly ~kind st ~card_s ~b:b_eff a ~rhs in
-    let h_ok = p_nonsingular p in
-    match
-      generator_phase ~b:b_eff ~n ~sigma:(sigma ~n ~b:b_eff) ~h_ok seq
-    with
+    run ~op:"solve" ~retries ?deadline_ns ~card_s ~pool ~shards ~precond st n
+    @@ fun ~mul ~attempt ~card_s draw ->
+    let b_eff = max (Array.length rhs) (attempt_block ~n ~b ~attempt) in
+    let p = draw () in
+    let ks, seq = krylov_phase ~mul ~p st ~card_s ~b:b_eff a ~rhs in
+    match generator_phase ~b:b_eff ~n ~p seq with
     | Error reject -> reject
     | Ok (gen, f0, _det_lam, _det_f0) -> begin
         match extract_solutions ?pool ~n ~p ~ks ~gen ~f0 a rhs with
@@ -206,6 +175,12 @@ struct
         if Array.length b <> n then invalid_arg (op ^ ": bad rhs length"))
       rhs
 
+  let block_factor_for op ?block_factor ~pool n =
+    match block_factor with
+    | Some b when b >= 1 -> min b (max 1 n)
+    | Some _ -> invalid_arg (op ^ ": block_factor < 1")
+    | None -> auto_block_factor ~n ~pool
+
   (* chunk width: never more right-hand sides than rows, and keep the
      start block narrow enough that σ ≥ 5 terms still cost ~2n³ total *)
   let chunk_width n = max 1 (min n 32)
@@ -216,13 +191,8 @@ struct
     let n = a.M.rows in
     check_square "Block_wiedemann.solve_batch" a;
     check_rhs "Block_wiedemann.solve_batch" n rhs;
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let b =
-      match block_factor with
-      | Some b when b >= 1 -> min b (max 1 n)
-      | Some _ -> invalid_arg "Block_wiedemann.solve_batch: block_factor < 1"
-      | None -> auto_block_factor ~n ~pool
-    in
+    let card_s = A.card_s_for ?card_s n in
+    let b = block_factor_for "Block_wiedemann.solve_batch" ?block_factor ~pool n in
     let k = Array.length rhs in
     if k = 0 then Ok ([||], O.empty_report)
     else begin
@@ -261,86 +231,34 @@ struct
      evaluation re-projects the same Krylov blocks onto a fresh Uᵀ′ (the
      recurrence certificate against corrupted blocks), recomputes det(P)
      twice, and [det] requires two fully independent evaluations to agree. *)
-  let det_eval ~mul ~charpoly ~kind st ~card_s ~b (a : M.t) =
+  let det_eval ~mul st ~card_s ~b p (a : M.t) =
     let n = a.M.rows in
-    let p, ks, seq = krylov_phase ~mul ~charpoly ~kind st ~card_s ~b a ~rhs:[||] in
-    let h_ok = p_nonsingular p in
-    match generator_phase ~b ~n ~sigma:(sigma ~n ~b) ~h_ok seq with
+    let ks, seq = krylov_phase ~mul ~p st ~card_s ~b a ~rhs:[||] in
+    match generator_phase ~b ~n ~p seq with
     | Error reject -> reject
     | Ok (gen, _f0, det_lam, det_f0) ->
-      let ut' = MD.sample st ~card_s b n in
-      let seq' = K.block_sequence ~mul ~ut:ut' ks in
-      if not (MBM.generates ~b seq' gen) then
+      let ut' = A.MD.sample st ~card_s b n in
+      if not (MBM.generates ~b (K.block_sequence ~mul ~ut:ut' ks) gen) then
         Rt.Reject (O.Fault "block recurrence check failed")
-      else begin
-        match (p.Pc.det (), p.Pc.det ()) with
-        | exception Division_by_zero -> Rt.Reject O.Singular_preconditioner
-        | dhd, dhd' ->
-          if not (F.equal dhd dhd') then
-            Rt.Reject (O.Fault "det_hd recomputation mismatch")
-          else if F.is_zero dhd then Rt.Reject O.Singular_preconditioner
-          else begin
-            let chi0 = F.div det_f0 det_lam in
-            let det_tilde = if n land 1 = 0 then chi0 else F.neg chi0 in
-            Rt.Accept (F.div det_tilde dhd)
-          end
-      end
+      else A.checked_det ~n p (F.div det_f0 det_lam)
 
-  let as_det_result = function
-    | Error (O.Singular { report; _ }) -> Ok (F.zero, report)
-    | (Ok _ | Error _) as r -> r
-
-  let det_setup ?card_s ?pool ?block_factor op (a : M.t) =
+  (* [evals] is [A.agree] for [det], one evaluation for [det_once] *)
+  let det_with ~op ~evals ?(retries = 10) ?card_s ?deadline_ns ?pool
+      ?block_factor ?shards ?(precond = Pc.default_choice ()) st (a : M.t) =
+    Span.with_ ("block." ^ op) @@ fun () ->
     let n = a.M.rows in
-    check_square op a;
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let b =
-      match block_factor with
-      | Some b when b >= 1 -> min b (max 1 n)
-      | Some _ -> invalid_arg (op ^ ": block_factor < 1")
-      | None -> auto_block_factor ~n ~pool
-    in
-    (n, card_s, b, charpoly_for_field ~pool ~n)
+    let op_name = "Block_wiedemann." ^ op in
+    check_square op_name a;
+    let card_s = A.card_s_for ?card_s n in
+    let b = block_factor_for op_name ?block_factor ~pool n in
+    A.as_det_result
+    @@ run ~op ~retries ?deadline_ns ~card_s ~pool ~shards ~precond st n
+    @@ fun ~mul ~attempt ~card_s draw ->
+    let b_eff = attempt_block ~n ~b ~attempt in
+    evals (fun () -> det_eval ~mul st ~card_s ~b:b_eff (draw ()) a)
 
-  let det ?(retries = 10) ?card_s ?deadline_ns ?pool ?block_factor ?shards
-      ?(precond = Pc.default_choice ()) st (a : M.t) =
-    Span.with_ "block.det" @@ fun () ->
-    let n, card_s, b, charpoly =
-      det_setup ?card_s ?pool ?block_factor "Block_wiedemann.det" a
-    in
-    let mul = mul_of ?shards pool in
-    let requested = Pc.resolve precond in
-    as_det_result
-      (Rt.run ~ns:"block" ~op:"det"
-         ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-       @@ fun ~attempt ~card_s ->
-       let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-       let b_eff = attempt_block ~n ~b ~attempt in
-       let eval_once () = det_eval ~mul ~charpoly ~kind st ~card_s ~b:b_eff a in
-       match eval_once () with
-       | Rt.Accept d1 -> begin
-           match eval_once () with
-           | Rt.Accept d2 when F.equal d1 d2 -> Rt.Accept d1
-           | Rt.Accept _ -> Rt.Reject (O.Fault "det recomputation mismatch")
-           | other -> other
-         end
-       | other -> other)
-
-  let det_once ?(retries = 10) ?card_s ?deadline_ns ?pool ?block_factor
-      ?shards ?(precond = Pc.default_choice ()) st (a : M.t) =
-    Span.with_ "block.det_once" @@ fun () ->
-    let n, card_s, b, charpoly =
-      det_setup ?card_s ?pool ?block_factor "Block_wiedemann.det_once" a
-    in
-    let mul = mul_of ?shards pool in
-    let requested = Pc.resolve precond in
-    as_det_result
-      (Rt.run ~ns:"block" ~op:"det_once"
-         ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-       @@ fun ~attempt ~card_s ->
-       let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-       let b_eff = attempt_block ~n ~b ~attempt in
-       det_eval ~mul ~charpoly ~kind st ~card_s ~b:b_eff a)
+  let det = det_with ~op:"det" ~evals:A.agree
+  let det_once = det_with ~op:"det_once" ~evals:(fun eval -> eval ())
 
   (* ---- rank ----
 
@@ -350,33 +268,12 @@ struct
      leading minor.  The blocking factor is clamped to each minor's size. *)
   let rank ?card_s ?pool ?block_factor ?shards ?precond st (a : M.t) =
     Span.with_ "block.rank" @@ fun () ->
-    let n = a.M.rows in
     check_square "Block_wiedemann.rank" a;
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let u_mat = MD.sample_nonsingular st ~card_s n in
-    let v_mat = MD.sample_nonsingular st ~card_s n in
-    let a_hat = M.mul u_mat (M.mul a v_mat) in
-    let minor_nonsingular i =
-      if i = 0 then true
-      else begin
-        let sub = M.init i i (fun r c -> M.get a_hat r c) in
+    let card_s = A.card_s_for ?card_s a.M.rows in
+    let pre = R.precondition st ~card_s a in
+    R.search pre.R.a_hat ~det:(fun sub ->
         let block_factor =
-          Option.map (fun b -> min b (max 1 i)) block_factor
+          Option.map (fun b -> min b (max 1 sub.M.rows)) block_factor
         in
-        match det ~card_s ~retries:6 ?pool ?block_factor ?shards ?precond st sub with
-        | Ok (d, _) -> not (F.is_zero d)
-        | Error _ -> false
-      end
-    in
-    let rec search lo hi =
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi + 1) / 2 in
-        if minor_nonsingular mid then search mid hi else search lo (mid - 1)
-      end
-    in
-    search 0 n
-
-  let verify_solution (a : M.t) x b =
-    Array.for_all2 F.equal (M.matvec a x) b
+        det ~card_s ~retries:6 ?pool ?block_factor ?shards ?precond st sub)
 end

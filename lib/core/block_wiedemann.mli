@@ -109,9 +109,7 @@ module Make
     Random.State.t -> M.t -> int
   (** Kaltofen–Saunders rank with block determinants: precondition with
       random unit-triangular U, V and binary-search the largest
-      non-singular leading minor of U·A·V (Monte Carlo, as {!Rank}). *)
-
-  val verify_solution : M.t -> F.t array -> F.t array -> bool
-
-  val default_card_s : int -> int
+      non-singular leading minor of U·A·V (Monte Carlo, as {!Rank}), via
+      {!Rank.Make.search} with the blocking factor clamped to each minor's
+      size. *)
 end

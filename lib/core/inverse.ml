@@ -44,18 +44,11 @@ struct
     B.finish ~outputs:[| det |];
     B.circuit
 
-  let charpoly_kind n =
-    if F.characteristic = 0 || F.characteristic > n then `Leverrier else `Chistov
-
-  let default_card_s n =
-    let bound = max (4 * 3 * n * n) 64 in
-    match F.cardinality with Some q -> min bound q | None -> bound
-
   let inverse ?(retries = 10) ?card_s ?deadline_ns st (a : M.t) =
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg "Inverse.inverse: non-square";
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let circuit = det_circuit ~n ~charpoly:(charpoly_kind n) in
+    let card_s = S.A.card_s_for ?card_s n in
+    let circuit = det_circuit ~n ~charpoly:(S.A.charpoly_kind ~n) in
     let { Ad.circuit = q; _ } = Ad.differentiate circuit in
     let inputs = Array.init (n * n) (fun k -> M.get a (k / n) (k mod n)) in
     let policy =

@@ -8,10 +8,6 @@ struct
   module O = Kp_robust.Outcome
   module Rt = Kp_robust.Retry
 
-  let default_card_s n =
-    let bound = max (4 * 3 * n * n) 64 in
-    match F.cardinality with Some q -> min bound q | None -> bound
-
   (* solve Âr · z = w for several right-hand sides *)
   let block_solves ?card_s ?deadline_ns ?precond st (ar : M.t) rhss =
     let rec go acc = function
@@ -23,30 +19,14 @@ struct
     in
     go [] rhss
 
-  let decompose ?card_s ?precond st (a : M.t) =
-    let n = a.M.rows in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
+  let decompose ~card_s ?precond st (a : M.t) =
     let pre = R.precondition st ~card_s a in
-    let r =
-      (* rank via the already-preconditioned matrix *)
-      let rec search lo hi =
-        if lo >= hi then lo
-        else begin
-          let mid = (lo + hi + 1) / 2 in
-          if R.leading_minor_nonsingular st ~card_s ?precond pre.R.a_hat mid
-          then
-            search mid hi
-          else search lo (mid - 1)
-        end
-      in
-      search 0 n
-    in
-    (pre, r)
+    (pre, R.search ~det:(R.minor_det ~card_s ?precond st) pre.R.a_hat)
 
   let nullspace ?(retries = 4) ?card_s ?deadline_ns ?precond st (a : M.t) =
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg "Nullspace.nullspace: non-square";
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
+    let card_s = S.A.card_s_for ?card_s n in
     let policy = Rt.policy ~retries ~max_card_s:F.cardinality ?deadline_ns () in
     Result.map fst
     @@ Rt.run ~ns:"nullspace" ~op:"nullspace" ~policy ~card_s
@@ -103,7 +83,7 @@ struct
       b =
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg "Nullspace.solve_singular: non-square";
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
+    let card_s = S.A.card_s_for ?card_s n in
     let policy = Rt.policy ~retries ~max_card_s:F.cardinality ?deadline_ns () in
     Result.map fst
     @@ Rt.run ~ns:"nullspace" ~op:"solve_singular" ~policy ~card_s

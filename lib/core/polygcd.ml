@@ -43,19 +43,13 @@ struct
       P.degree f + P.degree g - R.rank ?card_s st s
     end
 
-  let default_card_s dim =
-    let bound = max (4 * 3 * dim * dim) 64 in
-    match F.cardinality with Some q -> min bound q | None -> bound
-
   let gcd ?(retries = 6) ?card_s ?deadline_ns st f g =
     if P.is_zero f then Ok (P.monic g)
     else if P.is_zero g then Ok (P.monic f)
     else if P.degree f = 0 || P.degree g = 0 then Ok P.one
     else begin
       let m = P.degree f and n = P.degree g in
-      let card_s =
-        match card_s with Some s -> s | None -> default_card_s (m + n)
-      in
+      let card_s = S.A.card_s_for ?card_s (m + n) in
       let policy = Rt.policy ~retries ~max_card_s:F.cardinality ?deadline_ns () in
       Result.map fst
       @@ Rt.run ~ns:"polygcd" ~op:"gcd" ~policy ~card_s

@@ -7,8 +7,11 @@
 
     Â = U·A·V with random non-singular U, V has, with high probability,
     non-singular leading principal minors exactly up to rank(A); each
-    candidate minor is tested with the Theorem-4 determinant (Las Vegas),
-    so the only Monte Carlo component is the rank-profile genericity. *)
+    candidate minor is tested with a certified determinant (Las Vegas),
+    so the only Monte Carlo component is the rank-profile genericity.
+    {!search} is the one binary search behind {!rank}, {!Nullspace} and
+    {!Block_wiedemann.Make.rank}, which differ only in their minor
+    determinant. *)
 
 module Make
     (F : Kp_field.Field_intf.FIELD)
@@ -23,15 +26,22 @@ module Make
   }
 
   val precondition : Random.State.t -> ?card_s:int -> M.t -> preconditioned
+  (** Draws U then V, unit-triangular with entries from S. *)
 
-  val leading_minor_nonsingular :
-    Random.State.t ->
-    ?card_s:int -> ?precond:Kp_precond.Precond.choice -> M.t -> int -> bool
-  (** Theorem-4 determinant of the i×i leading principal submatrix,
-      retried; [true] iff certified non-singular. *)
+  val search :
+    det:(M.t -> (F.t * S.O.report, S.O.error) result) -> M.t -> int
+  (** The largest i whose leading i×i minor of Â is certified non-singular
+      by [det] (a typed error counts as singular), by binary search. *)
+
+  val minor_det :
+    card_s:int ->
+    ?precond:Kp_precond.Precond.choice ->
+    Random.State.t -> M.t -> (F.t * S.O.report, S.O.error) result
+  (** The Theorem-4 minor determinant of {!rank}: {!Solver.Make.det} with
+      6 attempts at the given |S|. *)
 
   val rank :
     ?card_s:int ->
     ?precond:Kp_precond.Precond.choice -> Random.State.t -> M.t -> int
-  (** Binary search over leading principal minors of Â. *)
+  (** {!search} over Â with {!minor_det}. *)
 end

@@ -2,30 +2,17 @@ module Make
     (F : Kp_field.Field_intf.FIELD)
     (C : Kp_poly.Conv.S with type elt = F.t) =
 struct
-  module P = Pipeline.Make (F) (C)
+  module A = Attempt.Make (F) (C)
+  module P = A.P
   module M = P.M
-  module MD = Kp_matrix.Dense.Make (F)
-  module Sh = Kp_shard.Sharded.Make (F)
   module BM = Kp_seqgen.Berlekamp_massey.Make (F)
-  module LR = Kp_seqgen.Linrec.Make (F)
   module Pc = Kp_precond.Precond
-  module SP = Kp_precond.Precond.Make (F) (C)
 
   module O = Kp_robust.Outcome
   module Rt = Kp_robust.Retry
   module Span = Kp_obs.Span
 
-  let charpoly_for_field ?pool ~n =
-    if F.characteristic = 0 || F.characteristic > n then
-      P.charpoly_leverrier_pooled pool
-    else P.charpoly_chistov_pooled pool
-
-  let default_card_s n =
-    let bound = 4 * 3 * n * n in
-    let bound = max bound 64 in
-    match F.cardinality with Some q -> min bound q | None -> bound
-
-  let sample_vec st ~card_s n = Array.init n (fun _ -> F.sample st ~card_s)
+  let charpoly_for_field = A.charpoly_for_field
 
   let generator_ok ~n f seq =
     (* f must be the degree-n monic generator of the whole 2n-sequence *)
@@ -35,70 +22,60 @@ struct
     let ax = M.matvec a x in
     Array.for_all2 F.equal ax b
 
-  (* the matrix-multiplication black box: fast sequential loops, the
-     pool-parallel product when a pool is supplied (the PRAM stand-in), or
-     the row-block sharded product when a shard count is requested — all
-     three are bit-identical, so the choice only moves the schedule *)
-  let mul_of ?shards pool =
-    match shards with
-    | Some s -> Sh.mul_fn ?pool ~shards:s ()
-    | None -> (
-      match pool with
-      | None -> MD.mul
-      | Some pool -> MD.mul_parallel pool)
+  let square op (a : M.t) =
+    if a.M.cols <> a.M.rows then invalid_arg ("Solver." ^ op ^ ": non-square");
+    a.M.rows
 
-  let policy ?deadline_ns ~kind retries =
-    Rt.policy ~retries ~max_card_s:(SP.escalation_ceiling kind) ?deadline_ns ()
-
-  (* non-singularity of the preconditioner gates every singularity witness:
-     P.det is fresh arithmetic, so a Division_by_zero inside it is a fault,
-     not a verdict *)
-  let p_nonsingular (p : P.precond) () =
-    match p.Pc.det () with
-    | exception Division_by_zero -> false
-    | dp -> not (F.is_zero dp)
+  (* the shared set-up of every entry point: the product black box and the
+     charpoly engine, then the attempt loop over fresh P draws *)
+  let run ~op ~retries ?card_s ?deadline_ns ?pool ?shards ~precond st n body =
+    let mul = A.mul_of ?shards pool in
+    let card_s = A.card_s_for ?card_s n in
+    let charpoly = A.charpoly_for_field ?pool ~n in
+    A.run ~ns:"solver" ~op ~retries ?deadline_ns ~card_s ~charpoly ~n precond st
+      (body ~mul ~charpoly)
 
   let solve ?(retries = 10) ?(strategy = P.Doubling) ?card_s ?deadline_ns ?pool
       ?shards ?(precond = Pc.default_choice ()) st (a : M.t) b =
     Span.with_ "solver.solve" @@ fun () ->
-    let n = a.M.rows in
-    if a.M.cols <> n then invalid_arg "Solver.solve: non-square";
+    let n = square "solve" a in
     if Array.length b <> n then invalid_arg "Solver.solve: bad rhs";
-    let mul = mul_of ?shards pool in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let charpoly = charpoly_for_field ?pool ~n in
-    let requested = Pc.resolve precond in
-    Rt.run ~ns:"solver" ~op:"solve"
-      ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-    @@ fun ~attempt ~card_s ->
-    let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-    let p = SP.build ~charpoly ~card_s ~n kind st in
-    let u = sample_vec st ~card_s n in
-    let p_nonsingular = p_nonsingular p in
+    run ~op:"solve" ~retries ?card_s ?deadline_ns ?pool ?shards ~precond st n
+    @@ fun ~mul ~charpoly ~attempt:_ ~card_s draw ->
+    let p = draw () in
+    let u = A.sample_vec st ~card_s n in
     match P.solve ~mul ?pool ~charpoly ~strategy a ~b ~p ~u with
     | exception Division_by_zero ->
       (* singular Toeplitz system: the generator has degree < n — could
-         be bad luck or a singular Ã; witness only if P is invertible *)
-      if p_nonsingular () then Rt.Reject_with_witness O.Low_degree
-      else Rt.Reject O.Low_degree
+         be bad luck or a singular Ã *)
+      A.witness p O.Low_degree
     | { x; f; seq; _ } ->
-      if F.is_zero f.(0) && generator_ok ~n f seq then begin
-        (* true minpoly with zero constant term: Ã singular; with P
-           non-singular this witnesses singularity of A *)
-        if p_nonsingular () then Rt.Reject_with_witness O.Zero_constant_term
-        else Rt.Reject O.Zero_constant_term
-      end
+      if F.is_zero f.(0) && generator_ok ~n f seq then
+        (* true minpoly with zero constant term: Ã singular *)
+        A.witness p O.Zero_constant_term
       else if verify_solution a x b then Rt.Accept x
       else Rt.Reject O.Residual_mismatch
+
+  (* the generator certificate of [det_eval] and [precompute]: full degree,
+     non-zero constant term, and the transient-fault check — the
+     full-degree generator is the characteristic polynomial of Ã, so it
+     must also generate the projection of the same Krylov columns onto a
+     fresh random u′.  A corrupted column (or a corrupted Berlekamp/Massey
+     run) satisfies no such recurrence and fails here whp. *)
+  let certify st ~card_s ~n ~p f seq cols accept =
+    if not (generator_ok ~n f seq) then Rt.Reject O.Low_degree
+    else if F.is_zero f.(0) then A.witness p O.Zero_constant_term
+    else if not (BM.generates f (P.K.sequence ~u:(A.sample_vec st ~card_s n) cols))
+    then Rt.Reject (O.Fault "krylov recurrence check failed")
+    else accept ()
 
   (* one randomized det evaluation — the body both [det] (two agreeing
      evaluations) and the session layer's cache-validation discipline
      ([det_once]) drive through the retry engine *)
-  let det_eval ?pool ~mul ~charpoly ~strategy ~kind st ~card_s (a : M.t) =
+  let det_eval ?pool ~mul ~charpoly ~strategy st ~card_s p (a : M.t) =
     let n = a.M.rows in
-    let p = SP.build ~charpoly ~card_s ~n kind st in
-    let u = sample_vec st ~card_s n in
-    let v = sample_vec st ~card_s n in
+    let u = A.sample_vec st ~card_s n in
+    let v = A.sample_vec st ~card_s n in
     let a_tilde = P.preconditioned ~mul a p in
     let cols =
       match strategy with
@@ -106,141 +83,42 @@ struct
       | P.Sequential -> P.K.columns_sequential a_tilde v (2 * n)
     in
     let seq = P.K.sequence ~u cols in
-    let p_nonsingular = p_nonsingular p in
     match P.minimal_generator ~mul ?pool ~charpoly ~strategy ~n seq with
-    | exception Division_by_zero ->
-      if p_nonsingular () then Rt.Reject_with_witness O.Low_degree
-      else Rt.Reject O.Low_degree
-    | f ->
-      if not (generator_ok ~n f seq) then Rt.Reject O.Low_degree
-      else if F.is_zero f.(0) then begin
-        if p_nonsingular () then Rt.Reject_with_witness O.Zero_constant_term
-        else Rt.Reject O.Zero_constant_term
-      end
-      else if
-        (* transient-fault certificate: the full-degree generator is the
-           characteristic polynomial of Ã, so it must also generate the
-           projection of the same Krylov columns onto a fresh random u′.
-           A corrupted column (or a corrupted Berlekamp/Massey run)
-           satisfies no such recurrence and fails here whp. *)
-        not (BM.generates f (P.K.sequence ~u:(sample_vec st ~card_s n) cols))
-      then Rt.Reject (O.Fault "krylov recurrence check failed")
-      else begin
-        match (p.Pc.det (), p.Pc.det ()) with
-        | exception Division_by_zero -> Rt.Reject O.Singular_preconditioner
-        | dhd, dhd' ->
-          if not (F.equal dhd dhd') then
-            (* det(P) is a deterministic function of the drawn entries:
-               disagreement between two fresh evaluations proves a
-               transient fault *)
-            Rt.Reject (O.Fault "det_hd recomputation mismatch")
-          else if F.is_zero dhd then Rt.Reject O.Singular_preconditioner
-          else begin
-            let det_tilde = if n land 1 = 0 then f.(0) else F.neg f.(0) in
-            Rt.Accept (F.div det_tilde dhd)
-          end
-      end
+    | exception Division_by_zero -> A.witness p O.Low_degree
+    | f -> certify st ~card_s ~n ~p f seq cols @@ fun () -> A.checked_det ~n p f.(0)
 
-  (* consistent singularity witnesses: report det = 0 (Monte Carlo on the
-     singular side, exact on the non-singular side) *)
-  let as_det_result = function
-    | Error (O.Singular { report; _ }) -> Ok (F.zero, report)
-    | (Ok _ | Error _) as r -> r
+  (* [evals] is [A.agree] for [det]: unlike solve, det has no residual to
+     check against the ORIGINAL input — a corruption while building Ã is
+     self-consistent (f really is the characteristic polynomial of the
+     corrupted Ã′, every recurrence certificate passes, and det(Ã′)/det(P)
+     is wrong), so two fully independent evaluations must agree *)
+  let det_with ~op ~evals ?(retries = 10) ?(strategy = P.Doubling) ?card_s
+      ?deadline_ns ?pool ?shards ?(precond = Pc.default_choice ()) st (a : M.t) =
+    Span.with_ ("solver." ^ op) @@ fun () ->
+    let n = square op a in
+    A.as_det_result
+    @@ run ~op ~retries ?card_s ?deadline_ns ?pool ?shards ~precond st n
+    @@ fun ~mul ~charpoly ~attempt:_ ~card_s draw ->
+    evals (fun () -> det_eval ?pool ~mul ~charpoly ~strategy st ~card_s (draw ()) a)
 
-  let det ?(retries = 10) ?(strategy = P.Doubling) ?card_s ?deadline_ns ?pool
-      ?shards ?(precond = Pc.default_choice ()) st (a : M.t) =
-    Span.with_ "solver.det" @@ fun () ->
-    let n = a.M.rows in
-    if a.M.cols <> n then invalid_arg "Solver.det: non-square";
-    let mul = mul_of ?shards pool in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let charpoly = charpoly_for_field ?pool ~n in
-    let requested = Pc.resolve precond in
-    as_det_result
-      (Rt.run ~ns:"solver" ~op:"det"
-         ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-       @@ fun ~attempt ~card_s ->
-       let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-       let eval_once () =
-         det_eval ?pool ~mul ~charpoly ~strategy ~kind st ~card_s a
-       in
-       (* Unlike solve, det has no residual to check against the ORIGINAL
-          input: a corruption while building Ã is self-consistent — f really
-          is the characteristic polynomial of the corrupted Ã′, every
-          recurrence certificate passes, and det(Ã′)/det(HD) is wrong.
-          det(A) is a deterministic function of A, so we require two fully
-          independent randomized evaluations to agree; a transient fault in
-          either lands on the true value only with negligible probability. *)
-       match eval_once () with
-       | Rt.Accept d1 -> begin
-           match eval_once () with
-           | Rt.Accept d2 when F.equal d1 d2 -> Rt.Accept d1
-           | Rt.Accept _ -> Rt.Reject (O.Fault "det recomputation mismatch")
-           | other -> other
-         end
-       | other -> other)
-
-  let det_once ?(retries = 10) ?(strategy = P.Doubling) ?card_s ?deadline_ns
-      ?pool ?shards ?(precond = Pc.default_choice ()) st (a : M.t) =
-    Span.with_ "solver.det_once" @@ fun () ->
-    let n = a.M.rows in
-    if a.M.cols <> n then invalid_arg "Solver.det_once: non-square";
-    let mul = mul_of ?shards pool in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let charpoly = charpoly_for_field ?pool ~n in
-    let requested = Pc.resolve precond in
-    as_det_result
-      (Rt.run ~ns:"solver" ~op:"det_once"
-         ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-       @@ fun ~attempt ~card_s ->
-       let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-       det_eval ?pool ~mul ~charpoly ~strategy ~kind st ~card_s a)
+  let det = det_with ~op:"det" ~evals:A.agree
+  let det_once = det_with ~op:"det_once" ~evals:(fun eval -> eval ())
 
   let precompute ?(retries = 10) ?(strategy = P.Doubling) ?card_s ?deadline_ns
       ?pool ?shards ?(precond = Pc.default_choice ()) st (a : M.t) =
     Span.with_ "solver.precompute" @@ fun () ->
-    let n = a.M.rows in
-    if a.M.cols <> n then invalid_arg "Solver.precompute: non-square";
-    let mul = mul_of ?shards pool in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let charpoly = charpoly_for_field ?pool ~n in
-    let requested = Pc.resolve precond in
-    Rt.run ~ns:"solver" ~op:"precompute"
-      ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-    @@ fun ~attempt ~card_s ->
-    let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-    let p = SP.build ~charpoly ~card_s ~n kind st in
-    let u = sample_vec st ~card_s n in
-    let v = sample_vec st ~card_s n in
-    let p_nonsingular = p_nonsingular p in
+    let n = square "precompute" a in
+    run ~op:"precompute" ~retries ?card_s ?deadline_ns ?pool ?shards ~precond st n
+    @@ fun ~mul ~charpoly ~attempt:_ ~card_s draw ->
+    let p = draw () in
+    let u = A.sample_vec st ~card_s n in
+    let v = A.sample_vec st ~card_s n in
     match P.precompute ~mul ?pool ~charpoly ~strategy a ~p ~u ~v with
-    | exception Division_by_zero ->
-      (* singular Toeplitz system or singular P: witness singularity of A
-         only when P is invertible, exactly as in [solve] *)
-      if p_nonsingular () then Rt.Reject_with_witness O.Low_degree
-      else Rt.Reject O.Low_degree
+    | exception Division_by_zero -> A.witness p O.Low_degree
     | pc, cols, seq ->
-      let f = pc.P.charpoly_f in
-      if not (generator_ok ~n f seq) then Rt.Reject O.Low_degree
-      else if F.is_zero f.(0) then begin
-        (* charpoly(Ã)(0) = 0: Ã is singular — a singularity witness for A
-           whenever P is invertible.  Never cache such a record: every
-           solve through it would divide by zero. *)
-        if p_nonsingular () then Rt.Reject_with_witness O.Zero_constant_term
-        else Rt.Reject O.Zero_constant_term
-      end
-      else if
-        (* fresh-projection recurrence certificate, as in [det]: the cached
-           generator must also generate the same columns under a new u′ *)
-        not (BM.generates f (P.K.sequence ~u:(sample_vec st ~card_s n) cols))
-      then Rt.Reject (O.Fault "krylov recurrence check failed")
-      else if F.is_zero pc.P.dhd then Rt.Reject O.Singular_preconditioner
+      (* a zero constant term is rejected by [certify]: never cache such a
+         record, every solve through it would divide by zero *)
+      certify st ~card_s ~n ~p pc.P.charpoly_f seq cols @@ fun () ->
+      if F.is_zero pc.P.dhd then Rt.Reject O.Singular_preconditioner
       else Rt.Accept pc
-
-  let minimal_polynomial_wiedemann ?card_s st apply ~n =
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let u = sample_vec st ~card_s n in
-    let b = sample_vec st ~card_s n in
-    let seq = LR.krylov_sequence apply ~u ~b (2 * n) in
-    BM.P.to_array (BM.minimal_polynomial seq)
 end

@@ -23,7 +23,11 @@
 module Make
     (F : Kp_field.Field_intf.FIELD)
     (C : Kp_poly.Conv.S with type elt = F.t) : sig
-  module P : module type of Pipeline.Make (F) (C)
+  module A : module type of Attempt.Make (F) (C)
+  (** The shared attempt skeleton; its field defaults also serve {!Rank},
+      {!Nullspace}, {!Inverse}, {!Transpose} and {!Polygcd}. *)
+
+  module P = A.P
   module M = P.M
   module Pc = Kp_precond.Precond
 
@@ -105,14 +109,6 @@ module Make
       fresh projection u′ (the [det] recurrence certificate), constant
       term and det(H·D) checked non-zero.  [Error (Singular _)] carries
       the usual witness discipline — a singular A never yields a record. *)
-
-  val minimal_polynomial_wiedemann :
-    ?card_s:int ->
-    Random.State.t -> (F.t array -> F.t array) -> n:int -> F.t array
-  (** The sequential Wiedemann baseline: {u·Aⁱ·b} by 2n black-box
-      applications, Berlekamp/Massey for the generator.  Monte Carlo: the
-      result is a divisor of the true minimum polynomial with the usual
-      probability bound. *)
 
   val verify_solution : M.t -> F.t array -> F.t array -> bool
 end

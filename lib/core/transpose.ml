@@ -44,18 +44,11 @@ struct
     B.finish ~outputs:[| f |];
     B.circuit
 
-  let charpoly_kind n =
-    if F.characteristic = 0 || F.characteristic > n then `Leverrier else `Chistov
-
-  let default_card_s n =
-    let bound = max (4 * 3 * n * n) 64 in
-    match F.cardinality with Some q -> min bound q | None -> bound
-
   let solve_transposed ?(retries = 10) ?card_s ?deadline_ns st (a : M.t) b =
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg "Transpose.solve_transposed: non-square";
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let p = solve_circuit ~n ~charpoly:(charpoly_kind n) in
+    let card_s = S.A.card_s_for ?card_s n in
+    let p = solve_circuit ~n ~charpoly:(S.A.charpoly_kind ~n) in
     let { Ad.circuit = q; gradient; _ } = Ad.differentiate p in
     ignore gradient;
     let at = M.transpose a in

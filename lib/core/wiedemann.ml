@@ -5,14 +5,10 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
      below stays on the derived-kernel Karatsuba so measured op counts are
      the circuit's, not a word-level backend's *)
   module C = Kp_poly.Conv.Karatsuba_field (F)
-  module HK = Kp_structured.Hankel.Make (F) (C)
-  module TC = Kp_structured.Toeplitz_charpoly.Make (F) (C)
-  module Ch = Kp_structured.Chistov.Make (F) (C)
-  module Lev = Kp_structured.Leverrier.Make (F)
+  module A = Attempt.Make (F) (C)
   module BM = Kp_seqgen.Berlekamp_massey.Make (F)
   module LR = Kp_seqgen.Linrec.Make (F)
   module Pc = Kp_precond.Precond
-  module SP = Kp_precond.Precond.Make (F) (C)
 
   module O = Kp_robust.Outcome
   module Rt = Kp_robust.Retry
@@ -21,28 +17,20 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
 
   let c_singular_witness = Counter.make "wiedemann.singular_witnesses"
 
-  let default_card_s n =
-    let bound = max (12 * n * n) 64 in
-    match F.cardinality with Some q -> min bound q | None -> bound
-
-  let sample_vec st ~card_s n = Array.init n (fun _ -> F.sample st ~card_s)
-
-  let policy ?deadline_ns ~kind retries =
-    Rt.policy ~retries ~max_card_s:(SP.escalation_ceiling kind) ?deadline_ns ()
-
-  let charpoly_engine ~n =
-    if F.characteristic = 0 || F.characteristic > n then TC.charpoly
-    else Ch.charpoly
+  (* the scalar generator of {u·Mⁱ·v}: 2n applications, then
+     Berlekamp/Massey *)
+  let generator apply ~u ~v n =
+    let seq = LR.krylov_sequence apply ~u ~b:v (2 * n) in
+    BM.P.to_array (BM.minimal_polynomial seq)
 
   let minimal_polynomial ?card_s st (bb : Bb.t) =
     Span.with_ "wiedemann.minpoly" @@ fun () ->
     let n = bb.Bb.dim in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
+    let card_s = A.card_s_for ?card_s n in
     let bb = Bb.instrument bb in
-    let u = sample_vec st ~card_s n in
-    let b = sample_vec st ~card_s n in
-    let seq = LR.krylov_sequence bb.Bb.apply ~u ~b (2 * n) in
-    BM.P.to_array (BM.minimal_polynomial seq)
+    let u = A.sample_vec st ~card_s n in
+    let b = A.sample_vec st ~card_s n in
+    generator bb.Bb.apply ~u ~v:b n
 
   (* x = -(1/f_0) Σ_{i=1}^{deg} f_i A^{i-1} b, by Cayley–Hamilton *)
   let cayley_hamilton_solution apply f ~deg b =
@@ -56,26 +44,31 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let c = F.neg (F.inv f.(0)) in
     Array.map (F.mul c) !acc
 
+  (* the solve body of both entry points: the minimum polynomial of
+     {Mⁱ·b} for M = [apply], then M⁻¹·b by Cayley–Hamilton, handed to
+     [certify] for recovery and the residual check *)
+  let solve_via apply ~u b certify =
+    let f = generator apply ~u ~v:b (Array.length b) in
+    let deg = Array.length f - 1 in
+    if deg = 0 then Rt.Reject O.Low_degree
+    else if F.is_zero f.(0) then Rt.Reject O.Zero_constant_term
+    else certify (cayley_hamilton_solution apply f ~deg b)
+
+  let residual_ok (bb : Bb.t) x b =
+    if Array.for_all2 F.equal (bb.Bb.apply x) b then Rt.Accept x
+    else Rt.Reject O.Residual_mismatch
+
   let solve ?(retries = 10) ?card_s ?deadline_ns st (bb : Bb.t) b =
     Span.with_ "wiedemann.solve" @@ fun () ->
     let n = bb.Bb.dim in
     if Array.length b <> n then invalid_arg "Wiedemann.solve: bad rhs";
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
+    let card_s = A.card_s_for ?card_s n in
     let bb = Bb.instrument bb in
     Rt.run ~ns:"wiedemann" ~op:"solve"
-      ~policy:(policy ?deadline_ns ~kind:Pc.Dense_hd retries) ~card_s
+      ~policy:(A.policy ?deadline_ns ~kind:Pc.Dense_hd retries) ~card_s
     @@ fun ~attempt:_ ~card_s ->
-    let u = sample_vec st ~card_s n in
-    let seq = LR.krylov_sequence bb.Bb.apply ~u ~b (2 * n) in
-    let f = BM.P.to_array (BM.minimal_polynomial seq) in
-    let deg = Array.length f - 1 in
-    if deg = 0 then Rt.Reject O.Low_degree
-    else if F.is_zero f.(0) then Rt.Reject O.Zero_constant_term
-    else begin
-      let x = cayley_hamilton_solution bb.Bb.apply f ~deg b in
-      if Array.for_all2 F.equal (bb.Bb.apply x) b then Rt.Accept x
-      else Rt.Reject O.Residual_mismatch
-    end
+    let u = A.sample_vec st ~card_s n in
+    solve_via bb.Bb.apply ~u b @@ fun x -> residual_ok bb x b
 
   (* P as a black box: the record's apply/transpose/ops lifted into the
      {!Kp_matrix.Blackbox} algebra (forcing the lazy op count exactly where
@@ -94,109 +87,69 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   let preconditioned_blackbox (bb : Bb.t) p =
     Bb.compose bb (precond_blackbox p)
 
+  (* the preconditioned routes draw P first, then their projections *)
+  let run ~op ~retries ?card_s ?deadline_ns ~precond st n body =
+    let card_s = A.card_s_for ?card_s n in
+    let charpoly = A.charpoly_for_field ?pool:None ~n in
+    A.run ~ns:"wiedemann" ~op ~sparse:true ~retries ?deadline_ns ~card_s
+      ~charpoly ~n precond st body
+
   let solve_preconditioned ?(retries = 10) ?card_s ?deadline_ns
       ?(precond = Pc.default_choice ()) st (bb : Bb.t) b =
     Span.with_ "wiedemann.solve_preconditioned" @@ fun () ->
     let n = bb.Bb.dim in
     if Array.length b <> n then
       invalid_arg "Wiedemann.solve_preconditioned: bad rhs";
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
     let bb_i = Bb.instrument bb in
-    let charpoly ~n dt = charpoly_engine ~n ~n dt in
-    let requested = Pc.resolve ~sparse:true precond in
-    Rt.run ~ns:"wiedemann" ~op:"solve_preconditioned"
-      ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-    @@ fun ~attempt ~card_s ->
-    let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-    let p = SP.build ~charpoly ~card_s ~n kind st in
-    let u = sample_vec st ~card_s n in
+    run ~op:"solve_preconditioned" ~retries ?card_s ?deadline_ns ~precond st n
+    @@ fun ~attempt:_ ~card_s draw ->
+    let p = draw () in
+    let u = A.sample_vec st ~card_s n in
     let a_tilde =
       Bb.instrument ~name:"preconditioned" (preconditioned_blackbox bb p)
     in
-    let seq = LR.krylov_sequence a_tilde.Bb.apply ~u ~b (2 * n) in
-    let f = BM.P.to_array (BM.minimal_polynomial seq) in
-    let deg = Array.length f - 1 in
-    if deg = 0 then Rt.Reject O.Low_degree
-    else if F.is_zero f.(0) then Rt.Reject O.Zero_constant_term
-    else begin
-      (* y = Ã^{-1} b by Cayley–Hamilton on the minimum polynomial *)
-      let y = cayley_hamilton_solution a_tilde.Bb.apply f ~deg b in
-      (* x = P·y solves A·x = b *)
-      let x = p.Pc.apply y in
-      if Array.for_all2 F.equal (bb_i.Bb.apply x) b then Rt.Accept x
-      else Rt.Reject O.Residual_mismatch
-    end
+    (* y = Ã⁻¹·b, and x = P·y solves A·x = b *)
+    solve_via a_tilde.Bb.apply ~u b @@ fun y -> residual_ok bb_i (p.Pc.apply y) b
 
+  (* det(A) = (−1)ⁿ·f(0)/det P once the minimum polynomial reaches full
+     degree.  A corrupted black-box apply can yield a self-consistent Krylov
+     sequence of a perturbed operator, so a single evaluation can pass every
+     recurrence check and still be wrong: two independent evaluations must
+     agree. *)
   let det ?(retries = 10) ?card_s ?deadline_ns
       ?(precond = Pc.default_choice ()) st (bb : Bb.t) =
     Span.with_ "wiedemann.det" @@ fun () ->
     let n = bb.Bb.dim in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let charpoly ~n dt = charpoly_engine ~n ~n dt in
-    let requested = Pc.resolve ~sparse:true precond in
-    let result =
-      Rt.run ~ns:"wiedemann" ~op:"det"
-        ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-      @@ fun ~attempt ~card_s ->
-      let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-      let eval_once () =
-        let p = SP.build ~charpoly ~card_s ~n kind st in
-        let u = sample_vec st ~card_s n in
-        let v = sample_vec st ~card_s n in
-        let a_tilde =
-          Bb.instrument ~name:"preconditioned" (preconditioned_blackbox bb p)
-        in
-        let seq = LR.krylov_sequence a_tilde.Bb.apply ~u ~b:v (2 * n) in
-        let f = BM.P.to_array (BM.minimal_polynomial seq) in
-        let deg = Array.length f - 1 in
-        let det_p () =
-          match p.Pc.det () with
-          | exception Division_by_zero -> None
-          | dp -> Some dp
-        in
-        if deg >= 1 && F.is_zero f.(0) then begin
-          (* λ divides the sequence's minimum polynomial: Ã is singular,
-             hence (P non-singular) so is A — any degree suffices *)
-          match det_p () with
-          | Some dp when not (F.is_zero dp) ->
-            Counter.incr c_singular_witness;
-            Rt.Reject_with_witness O.Zero_constant_term
-          | _ -> Rt.Reject O.Zero_constant_term
-        end
-        else if deg < n then
-          (* full degree not reached without a zero root: inconclusive *)
-          Rt.Reject O.Low_degree
-        else begin
-          match det_p () with
-          | None -> Rt.Reject O.Singular_preconditioner
-          | Some dp when F.is_zero dp -> Rt.Reject O.Singular_preconditioner
-          | Some dp ->
-            let det_tilde = if n land 1 = 0 then f.(0) else F.neg f.(0) in
-            Rt.Accept (F.div det_tilde dp)
-        end
-      in
-      (* transient-fault certificate: a corrupted black-box apply can yield a
-         self-consistent Krylov sequence of a perturbed operator, so a single
-         evaluation can pass every recurrence check and still be wrong.
-         det(A) is deterministic — accept only when two fully independent
-         randomized evaluations agree. *)
-      (match eval_once () with
-      | Rt.Accept d1 -> begin
-          match eval_once () with
-          | Rt.Accept d2 when F.equal d1 d2 -> Rt.Accept d1
-          | Rt.Accept _ -> Rt.Reject (O.Fault "det recomputation mismatch")
-          | other -> other
-        end
-      | other -> other)
+    A.as_det_result
+    @@ run ~op:"det" ~retries ?card_s ?deadline_ns ~precond st n
+    @@ fun ~attempt:_ ~card_s draw ->
+    A.agree @@ fun () ->
+    let p = draw () in
+    let u = A.sample_vec st ~card_s n in
+    let v = A.sample_vec st ~card_s n in
+    let a_tilde =
+      Bb.instrument ~name:"preconditioned" (preconditioned_blackbox bb p)
     in
-    match result with
-    | Error (O.Singular { report; _ }) -> Ok (F.zero, report)
-    | (Ok _ | Error _) as r -> r
+    let f = generator a_tilde.Bb.apply ~u ~v n in
+    let deg = Array.length f - 1 in
+    if deg >= 1 && F.is_zero f.(0) then begin
+      (* λ divides the sequence's minimum polynomial: Ã is singular —
+         any degree suffices *)
+      match A.witness p O.Zero_constant_term with
+      | Rt.Reject_with_witness _ as w ->
+        Counter.incr c_singular_witness;
+        w
+      | r -> r
+    end
+    else if deg < n then
+      (* full degree not reached without a zero root: inconclusive *)
+      Rt.Reject O.Low_degree
+    else A.checked_det ~n p f.(0)
 
   let is_probably_singular ?(trials = 4) ?card_s st (bb : Bb.t) =
     Span.with_ "wiedemann.is_probably_singular" @@ fun () ->
     let n = bb.Bb.dim in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
+    let card_s = A.card_s_for ?card_s n in
     let bb = Bb.instrument bb in
     let c_attempts = Counter.make "wiedemann.attempts" in
     (* one-sided: λ | f_u^{A,b} certifies singularity; for a singular A the
@@ -205,10 +158,9 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       if k = 0 then false
       else begin
         Counter.incr c_attempts;
-        let u = sample_vec st ~card_s n in
-        let b = sample_vec st ~card_s n in
-        let seq = LR.krylov_sequence bb.Bb.apply ~u ~b (2 * n) in
-        let f = BM.P.to_array (BM.minimal_polynomial seq) in
+        let u = A.sample_vec st ~card_s n in
+        let b = A.sample_vec st ~card_s n in
+        let f = generator bb.Bb.apply ~u ~v:b n in
         if Array.length f > 1 && F.is_zero f.(0) then begin
           Counter.incr c_singular_witness;
           true

@@ -64,7 +64,9 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
     Random.State.t -> Bb.t -> (F.t * O.report, O.error) result
   (** Determinant via the paper's preconditioning, retried until the
       minimum polynomial reaches full degree: det A = (−1)ⁿ·f(0)/det P.
-      [Auto] resolves sparse, as in {!solve_preconditioned}.
+      [Auto] resolves sparse, as in {!solve_preconditioned}.  Two
+      independent evaluations must agree, and each computes det P twice
+      ({!Attempt.Make.checked_det}).
       Reports [Ok (F.zero, _)] only with a consistent singularity witness. *)
 
   val is_probably_singular :

@@ -200,7 +200,7 @@ struct
       match G.solve a b with
       | None -> Error singular
       | Some x ->
-        if BW.verify_solution a x b then Ok (x, O.empty_report)
+        if R.S.verify_solution a x b then Ok (x, O.empty_report)
         else
           Error
             (O.Fault_detected
