@@ -72,7 +72,9 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
   module M = Kp_matrix.Dense.Make (F)
   module Bb = Kp_matrix.Blackbox.Make (F)
   module W = Kp_core.Wiedemann.Make (F)
-  module C = Kp_poly.Conv.Karatsuba_field (F)
+  (* the multiplier chosen from the field: the word NTT on products that
+     fit the prime's 2-adic limit, Karatsuba beyond *)
+  module C = Kp_poly.Conv.For_field (F)
   module S = Kp_core.Solver.Make (F) (C)
   module BW = Kp_core.Block_wiedemann.Make (F) (C)
   module R = Kp_core.Rank.Make (F) (C)
@@ -559,8 +561,10 @@ let kernels_cmd =
     | exception Invalid_argument m -> Printf.printf "kp --prime %d: %s\n\n" prime m
     | m ->
       let module F = (val m) in
-      Printf.printf "kp --prime %d resolves to: %s\n\n" prime
-        (Kp_kernel.Dispatch.backend_name F.kernel_hint));
+      let module C = Kp_poly.Conv.For_field (F) in
+      Printf.printf "kp --prime %d resolves to: %s\n" prime
+        (Kp_kernel.Dispatch.backend_name F.kernel_hint);
+      Printf.printf "kp --prime %d multiplier: %s\n\n" prime C.name);
     print_endline "built-in fields:";
     List.iter
       (fun (name, backend) -> Printf.printf "  %-36s %s\n" name backend)

@@ -81,17 +81,17 @@ struct
   let det_from_generator ~n f =
     if n land 1 = 0 then f.(0) else F.neg f.(0)
 
+  (* det(A) = det(Ã)/det(P), with det(Ã) = (−1)ⁿ·f(0) read off the
+     degree-n generator; det(P) is evaluated here, only when asked for *)
+  let det_of_generator ~n ~p f =
+    let det_tilde = det_from_generator ~n f in
+    F.div det_tilde (p.Pc.det ())
+
   (* det(H)·det(D), hoisted into the preconditioner layer; kept exported
      for the circuit builders that re-derive det(H·D) from recorded wires *)
   let det_hd = PcC.det_hd
 
-  type solve_result = {
-    x : F.t array;
-    f : F.t array;
-    seq : F.t array;
-    det_tilde : F.t;
-    det : F.t;
-  }
+  type solve_result = { x : F.t array; f : F.t array; seq : F.t array }
 
   let sequence_of ~strategy ~mul a_tilde ~u ~v n =
     Span.with_ "pipeline.krylov" @@ fun () ->
@@ -119,17 +119,15 @@ struct
     let cols, seq = sequence_of ~strategy ~mul a_tilde ~u ~v:b n in
     let f = minimal_generator ~mul ?pool ~charpoly ~strategy ~n seq in
     let x = recover ?pool ~n ~f ~p cols in
-    let det_tilde = det_from_generator ~n f in
-    let det = F.div det_tilde (p.Pc.det ()) in
-    { x; f; seq; det_tilde; det }
+    { x; f; seq }
 
   (* ---- the RHS-independent prefix of Theorem 4, as a reusable record ----
 
      Everything below is a function of (A, h, d) alone: the preconditioner
-     Ã = A·H·D, its repeated squarings, the degree-n generator (= the
-     characteristic polynomial of Ã whp, by Lemma 1), and det(H)·det(D).
-     A solve session computes this once per matrix and serves every
-     subsequent right-hand side from it. *)
+     Ã = A·H·D, its repeated squarings and the degree-n generator (= the
+     characteristic polynomial of Ã whp, by Lemma 1).  A solve session
+     computes this once per matrix and serves every subsequent right-hand
+     side from it; det(P) waits for the first determinant query. *)
 
   type precomp = {
     p_pre : precond;         (* the preconditioner P *)
@@ -137,7 +135,6 @@ struct
     powers : M.t array;      (* Ã^{2^i} covering 2n columns ([||] when the
                                 strategy is Sequential) *)
     charpoly_f : F.t array;  (* degree-n monic generator of {u·Ãⁱ·v} *)
-    dhd : F.t;               (* det(P) *)
   }
 
   let precompute ?mul ?pool ~charpoly ~strategy (a : M.t) ~p ~u ~v =
@@ -158,8 +155,7 @@ struct
     in
     let seq = K.sequence ~u cols in
     let f = minimal_generator ~mul ?pool ~charpoly ~strategy ~n seq in
-    let dhd = p.Pc.det () in
-    ({ p_pre = p; a_tilde; powers; charpoly_f = f; dhd }, cols, seq)
+    ({ p_pre = p; a_tilde; powers; charpoly_f = f }, cols, seq)
 
   let apply_precomp ?mul ?pool pc ~b =
     Span.with_ "pipeline.session_apply" @@ fun () ->
@@ -173,8 +169,7 @@ struct
     in
     recover ?pool ~n ~f:pc.charpoly_f ~p:pc.p_pre cols
 
-  let det_of_precomp ~n pc =
-    F.div (det_from_generator ~n pc.charpoly_f) pc.dhd
+  let det_of_precomp ~n pc = det_of_generator ~n ~p:pc.p_pre pc.charpoly_f
 
   let det ?mul ?pool ~charpoly ~strategy (a : M.t) ~p ~u ~v =
     let mul = Option.value mul ~default:M.mul in
@@ -182,6 +177,5 @@ struct
     let a_tilde = preconditioned ~mul a p in
     let _, seq = sequence_of ~strategy ~mul a_tilde ~u ~v n in
     let f = minimal_generator ~mul ?pool ~charpoly ~strategy ~n seq in
-    let det_tilde = det_from_generator ~n f in
-    F.div det_tilde (p.Pc.det ())
+    det_of_generator ~n ~p f
 end

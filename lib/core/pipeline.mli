@@ -75,13 +75,19 @@ module Make
     x : F.t array;           (** solution of A·x = b *)
     f : F.t array;           (** the degree-n generator (= charpoly of Ã whp) *)
     seq : F.t array;         (** the 2n-term scalar sequence *)
-    det_tilde : F.t;         (** det(Ã) = (−1)ⁿ·f(0) *)
-    det : F.t;               (** det(A) = det(Ã)/(det H · det D) *)
   }
+  (** A solve computes no determinant: det(P) — for the dense H·D a
+      second full Toeplitz charpoly — is paid only by {!det},
+      {!det_of_generator} and {!det_of_precomp}. *)
 
   val det_hd : charpoly:charpoly_engine -> n:int -> h:F.t array -> d:F.t array -> F.t
   (** det(H)·det(D): Hankel determinant via its Toeplitz mirror (§4),
       diagonal determinant as a product. *)
+
+  val det_of_generator : n:int -> p:precond -> F.t array -> F.t
+  (** det(A) = (−1)ⁿ·f(0)/det(P) from the degree-n generator f of Ã = A·P,
+      evaluating det(P) now.  Straight-line: [Division_by_zero] on a
+      singular P over a concrete field. *)
 
   val solve :
     ?mul:(M.t -> M.t -> M.t) ->
@@ -113,7 +119,6 @@ module Make
                                  ([[||]] under [Sequential]) *)
     charpoly_f : F.t array;  (** the degree-n monic generator — the
                                  characteristic polynomial of Ã whp *)
-    dhd : F.t;               (** det(P) *)
   }
   (** The RHS-independent prefix of the Theorem-4 pipeline: the §2
       preconditioning and the §3 Toeplitz/charpoly stage are functions of
@@ -129,8 +134,8 @@ module Make
   (** Build the record plus the 2n Krylov columns of [v] and the projected
       scalar sequence {u·Ãⁱ·v} (returned so the Las Vegas wrapper can run
       its generator certificates without recomputing them).  Straight-line:
-      raises [Division_by_zero] on a singular Toeplitz system or singular
-      H, exactly like {!solve}. *)
+      raises [Division_by_zero] on a singular Toeplitz system, exactly like
+      {!solve}.  det(P) is not part of the record. *)
 
   val apply_precomp :
     ?mul:(M.t -> M.t -> M.t) ->
@@ -143,5 +148,7 @@ module Make
       [Division_by_zero] if the cached generator has constant term 0. *)
 
   val det_of_precomp : n:int -> precomp -> F.t
-  (** det(A) = (−1)ⁿ·f(0) / (det H · det D), read off the record. *)
+  (** det(A) = (−1)ⁿ·f(0)/det(P): {!det_of_generator} on the record's
+      generator and P, so det(P) is evaluated at the call, not when the
+      record is built. *)
 end

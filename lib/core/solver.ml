@@ -117,8 +117,12 @@ struct
     | exception Division_by_zero -> A.witness p O.Low_degree
     | pc, cols, seq ->
       (* a zero constant term is rejected by [certify]: never cache such a
-         record, every solve through it would divide by zero *)
+         record, every solve through it would divide by zero.  No det(P)
+         gate is needed either: an accepted certificate is the full-degree
+         characteristic polynomial f of Ã = A·P with f(0) ≠ 0, so
+         det Ã = (−1)ⁿ·f(0) ≠ 0 and hence det P ≠ 0.  Only a fault can
+         break that; the session's det query then meets a zero det(P) and
+         evicts the record as stale. *)
       certify st ~card_s ~n ~p pc.P.charpoly_f seq cols @@ fun () ->
-      if F.is_zero pc.P.dhd then Rt.Reject O.Singular_preconditioner
-      else Rt.Accept pc
+      Rt.Accept pc
 end

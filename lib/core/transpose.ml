@@ -37,7 +37,11 @@ struct
       | `Chistov -> P.charpoly_chistov_parallel
     in
     let p = P.precond_of ~charpoly:engine ~n ~h ~d in
-    let { P.x; _ } = P.solve ~charpoly:engine ~strategy:P.Doubling a ~b:c ~p ~u in
+    let { P.x; f; _ } = P.solve ~charpoly:engine ~strategy:P.Doubling a ~b:c ~p ~u in
+    (* the traced solve has always carried the det(Ã)/det(P) gates: keep
+       them, so the circuit (E7's size and depth ratios) and the
+       Division_error rejection of a singular P are unchanged *)
+    ignore (P.det_of_generator ~n ~p f);
     (* f = x · b, balanced for depth *)
     let module V = Kp_matrix.Vec.Make (B) in
     let f = V.dot x b in

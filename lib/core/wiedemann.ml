@@ -1,10 +1,9 @@
 module Make (F : Kp_field.Field_intf.FIELD) = struct
   module Bb = Kp_matrix.Blackbox.Make (F)
 
-  (* concrete solves dispatch on F.kernel_hint; the counting instantiation
-     below stays on the derived-kernel Karatsuba so measured op counts are
-     the circuit's, not a word-level backend's *)
-  module C = Kp_poly.Conv.Karatsuba_field (F)
+  (* the multiplier chosen from F (word NTT or kernel-backed Karatsuba);
+     it only reaches the dense H·D's det(P) on witness and det branches *)
+  module C = Kp_poly.Conv.For_field (F)
   module A = Attempt.Make (F) (C)
   module BM = Kp_seqgen.Berlekamp_massey.Make (F)
   module LR = Kp_seqgen.Linrec.Make (F)
@@ -132,15 +131,10 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     in
     let f = generator a_tilde.Bb.apply ~u ~v n in
     let deg = Array.length f - 1 in
-    if deg >= 1 && F.is_zero f.(0) then begin
+    if deg >= 1 && F.is_zero f.(0) then
       (* λ divides the sequence's minimum polynomial: Ã is singular —
-         any degree suffices *)
-      match A.witness p O.Zero_constant_term with
-      | Rt.Reject_with_witness _ as w ->
-        Counter.incr c_singular_witness;
-        w
-      | r -> r
-    end
+         any degree suffices; Retry.run counts the witness *)
+      A.witness p O.Zero_constant_term
     else if deg < n then
       (* full degree not reached without a zero root: inconclusive *)
       Rt.Reject O.Low_degree

@@ -12,6 +12,11 @@ end
 let c_pool_karatsuba = Kp_obs.Counter.make "pool.conv.karatsuba"
 let c_pool_ntt = Kp_obs.Counter.make "pool.conv.ntt"
 
+(* Which family produced each product: one tick per [mul_full] or
+   [mul_full_pool] call, wherever it is routed. *)
+let c_karatsuba = Kp_obs.Counter.make "conv.karatsuba"
+let c_ntt = Kp_obs.Counter.make "conv.ntt"
+
 module Karatsuba_k
     (F : Kp_field.Field_intf.FIELD_CORE)
     (K : Kp_kernel.Kernel_intf.KERNEL with type t = F.t) =
@@ -20,7 +25,9 @@ struct
 
   module Ser = Series.Make_k (F) (K)
 
-  let mul_full = Ser.mul_full
+  let mul_full a b =
+    Kp_obs.Counter.incr c_karatsuba;
+    Ser.mul_full a b
 
   (* Below this operand length the region bookkeeping costs more than the
      leaf products; the recursion halves lengths, so forking stops well
@@ -33,9 +40,10 @@ struct
       when Pool.size pool > 1
            && Array.length a >= fork_width
            && Array.length b >= fork_width ->
+      Kp_obs.Counter.incr c_karatsuba;
       Kp_obs.Counter.incr c_pool_karatsuba;
       Ser.mul_full_fork ~fork:(Pool.region_run pool) ~fork_width a b
-    | _ -> Ser.mul_full a b
+    | _ -> mul_full a b
 end
 
 module Karatsuba (F : Kp_field.Field_intf.FIELD_CORE) =
@@ -229,6 +237,7 @@ struct
       done;
       if !size > 1 lsl P.max_log2 then Fallback.mul_full_pool pool a b
       else begin
+        Kp_obs.Counter.incr c_ntt;
         let pad v =
           Array.init !size (fun i -> if i < Array.length v then v.(i) else F.zero)
         in
@@ -256,5 +265,60 @@ end
 module Ntt_generic (F : Kp_field.Field_intf.FIELD_CORE) (P : NTT_PRIME) =
   Ntt_generic_k (F) (Kp_kernel.Derived.Make (F)) (P)
 
-module Ntt_field (F : Kp_field.Field_intf.FIELD) (P : NTT_PRIME) =
-  Ntt_generic_k (F) (Kp_kernel.Dispatch.Make (F)) (P)
+(* The word route: [Some (engine, mul)] when the hint says elements are
+   canonical GF(p) residues in an [int] ([a = int] in that branch), [mul]
+   being the word NTT product on them. *)
+let word_ntt : type a.
+    a Kp_field.Field_intf.kernel_hint ->
+    (Ntt.t * (Pool.t option -> a array -> a array -> a array)) option =
+  function
+  | Kp_field.Field_intf.Gfp_word { p } ->
+    let e = Ntt.create p in
+    Some (e, fun pool a b -> Ntt.convolution ?pool e a b)
+  | _ -> None
+
+module For_field (F : Kp_field.Field_intf.FIELD) = struct
+  type elt = F.t
+
+  module Fallback = Karatsuba_field (F)
+
+  let word = word_ntt F.kernel_hint
+  let ntt_max_log2 = Option.map (fun (e, _) -> Ntt.max_log2 e) word
+
+  let uses_ntt len =
+    match word with Some (e, _) -> Ntt.fits e len | None -> false
+
+  let name =
+    match ntt_max_log2 with
+    | Some k ->
+      Printf.sprintf
+        "word NTT for products of length <= 2^%d (2-adic limit, v2(p-1) = \
+         %d), Karatsuba beyond"
+        k k
+    | None -> "Karatsuba (no word-level NTT for this representation)"
+
+  let twiddles_held () =
+    match word with Some (e, _) -> Ntt.table_size e | None -> 0
+
+  let mul_full_pool pool a b =
+    match word with
+    | Some (e, mul) when Ntt.fits e (Array.length a + Array.length b - 1) ->
+      Kp_obs.Counter.incr c_ntt;
+      mul pool a b
+    | _ -> Fallback.mul_full_pool pool a b
+
+  let mul_full a b = mul_full_pool None a b
+end
+
+module Ntt_field (F : Kp_field.Field_intf.FIELD) (P : NTT_PRIME) = struct
+  module G = Ntt_generic_k (F) (Kp_kernel.Dispatch.Make (F)) (P)
+  module W = For_field (F)
+
+  type elt = F.t
+
+  let mul_full_pool =
+    if Option.is_some W.ntt_max_log2 then W.mul_full_pool else G.mul_full_pool
+
+  let mul_full a b = mul_full_pool None a b
+  let root_tables_cached = G.root_tables_cached
+end

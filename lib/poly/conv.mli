@@ -10,7 +10,14 @@
       GF(p) for an NTT-friendly prime p (including its counting and circuit
       wrappers — the butterfly plan is computed on plain ints and lifted
       through [of_int], so tracing it yields the genuine O(log n)-depth
-      multiplication circuit). *)
+      multiplication circuit);
+    - {!For_field}: the multiplier concrete drivers use, chosen from the
+      field — the word-level {!Ntt} engine where the field's elements are
+      canonical GF(p) words and the product fits the prime's 2-adic limit,
+      kernel-backed Karatsuba otherwise.
+
+    Every product ticks one of the [conv.ntt] / [conv.karatsuba] counters,
+    so [--stats] shows which family produced an answer. *)
 
 module type S = sig
   type elt
@@ -91,7 +98,35 @@ module Ntt_field (F : Kp_field.Field_intf.FIELD) (P : NTT_PRIME) : sig
   include S with type elt = F.t
 
   val root_tables_cached : unit -> int
-  (** See {!Ntt_generic_k}. *)
+  (** See {!Ntt_generic_k}; stays 0 over a [Gfp_word] field, whose
+      transforms run on the word engine's own table instead. *)
 
-  (** [Ntt_generic_k] over the kernel dispatched from [F.kernel_hint]. *)
+  (** Over a [Gfp_word] field: the word-level {!Ntt} engine for the field's
+      own prime, exactly as {!For_field}.  Over any other representation:
+      [Ntt_generic_k] over the kernel dispatched from [F.kernel_hint]. *)
+end
+
+module For_field (F : Kp_field.Field_intf.FIELD) : sig
+  include S with type elt = F.t
+
+  val ntt_max_log2 : int option
+  (** [Some k] (k = v₂(p − 1)) when [F.kernel_hint] is [Gfp_word {p}]:
+      products of length up to 2{^k} run on the word NTT.  [None] for
+      every other representation. *)
+
+  val uses_ntt : int -> bool
+  (** [uses_ntt len]: whether a product of length [len] runs on the NTT. *)
+
+  val name : string
+  (** One line naming the rule for this field (what [kp kernels] prints). *)
+
+  val twiddles_held : unit -> int
+  (** Entries in the word engine's twiddle table ({!Ntt.table_size}); 0
+      until the first NTT product — applying the functor builds nothing. *)
+
+  (** The multiplier chosen from the field: the word NTT when [F]'s hint is
+      [Gfp_word {p}] and the product's transform size is at most
+      2{^v₂(p − 1)}, {!Karatsuba_field} otherwise.  The choice depends on p
+      and the product length alone, and both families return the same
+      exact product. *)
 end

@@ -193,14 +193,19 @@ struct
       Cnt.incr c_evict
     end
 
-  let poison_charpoly ?key t (a : M.t) f =
-    let fp = fingerprint_of ?key t a in
-    match Tbl.find_opt t.cache fp with
+  let poison_record ?key t (a : M.t) f =
+    match Tbl.find_opt t.cache (fingerprint_of ?key t a) with
     | Some ({ e = Ready r; _ } as slot) ->
-      let pc = { r.pc with S.P.charpoly_f = f r.pc.S.P.charpoly_f } in
-      slot.e <- Ready { pc; kind = r.kind; det_certified = None };
+      slot.e <- Ready { pc = f r.pc; kind = r.kind; det_certified = None };
       true
     | Some { e = Sing _; _ } | None -> false
+
+  let poison_charpoly ?key t a f =
+    poison_record ?key t a (fun pc ->
+        { pc with S.P.charpoly_f = f pc.S.P.charpoly_f })
+
+  let poison_precond ?key t a f =
+    poison_record ?key t a (fun pc -> { pc with S.P.p_pre = f pc.S.P.p_pre })
 
   let poison_kind ?key t (a : M.t) kind =
     let fp = fingerprint_of ?key t a in
@@ -360,66 +365,58 @@ struct
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg "Session.det: non-square";
     Span.with_ "session.det" @@ fun () ->
+    (* rebuild budget exhausted on a poisoned cache: serve fresh, the
+       report carrying the stale-cache history *)
+    let fresh rejs =
+      match
+        S.det ~retries:t.cfg.retries ~strategy:t.cfg.strategy
+          ?card_s:t.cfg.card_s ?deadline_ns:(dl t deadline_ns)
+          ?pool:t.cfg.pool ?shards:t.cfg.shards ~precond:t.cfg.precond t.st a
+      with
+      | Ok (d, r) -> Ok (d, prepend_rejections rejs r)
+      | Error e -> Error (O.with_report (prepend_rejections rejs) e)
+    in
     let rec go rebuilds rejs =
+      let stale fp detail =
+        let rejs = stale_rejection rejs detail :: rejs in
+        evict t fp;
+        if rebuilds > 0 then go (rebuilds - 1) rejs else fresh rejs
+      in
       match obtain ?key ?deadline_ns t a with
       | _, Error e -> Error (O.with_report (prepend_rejections rejs) e)
       | _, Ok (Sing { witnesses = _; report }) ->
         Ok (F.zero, prepend_rejections rejs report)
       | fp, Ok (Ready r) -> (
-        match kind_mismatch t r with
-        | Some detail -> (
-          let rejs = stale_rejection rejs detail :: rejs in
-          evict t fp;
-          if rebuilds > 0 then go (rebuilds - 1) rejs
-          else
-            (* rebuild budget exhausted on a poisoned cache: serve fresh,
-               the report carrying the stale-cache history *)
+        match (kind_mismatch t r, r.det_certified) with
+        | Some detail, _ -> stale fp detail
+        | None, Some d -> Ok (d, serve_report rejs)
+        | None, None -> (
+          (* det(P) is evaluated now, on the first det query, not at build.
+             A certified record has det P ≠ 0 (see Solver.precompute), so a
+             zero det(P) or a fault inside it means the record is stale. *)
+          match S.P.det_of_precomp ~n r.pc with
+          | exception (Division_by_zero | Kp_robust.Fault.Injected _) ->
+            stale fp "det(P) of the cached preconditioner is zero or faulted"
+          | cached -> (
+            (* the two-evaluation det discipline with the cache as one
+               side: one fresh independent evaluation must agree before the
+               cached value is served (and is then certified for later
+               serves) *)
             match
-              S.det ~retries:t.cfg.retries ~strategy:t.cfg.strategy
+              S.det_once ~retries:t.cfg.retries ~strategy:t.cfg.strategy
                 ?card_s:t.cfg.card_s ?deadline_ns:(dl t deadline_ns)
-                ?pool:t.cfg.pool ?shards:t.cfg.shards
-                ~precond:t.cfg.precond t.st a
+                ?pool:t.cfg.pool ?shards:t.cfg.shards ~precond:t.cfg.precond
+                t.st a
             with
-            | Ok (d, r) -> Ok (d, prepend_rejections rejs r)
-            | Error e -> Error (O.with_report (prepend_rejections rejs) e))
-        | None -> (
-        match r.det_certified with
-        | Some d -> Ok (d, serve_report rejs)
-        | None -> (
-          let cached = S.P.det_of_precomp ~n r.pc in
-          (* the PR-2 two-evaluation discipline with the cache as one side:
-             one fresh independent evaluation must agree before the cached
-             value is served (and is then certified for later serves) *)
-          match
-            S.det_once ~retries:t.cfg.retries ~strategy:t.cfg.strategy
-              ?card_s:t.cfg.card_s ?deadline_ns:(dl t deadline_ns)
-              ?pool:t.cfg.pool ?shards:t.cfg.shards ~precond:t.cfg.precond
-              t.st a
-          with
-          | Error e -> Error (O.with_report (prepend_rejections rejs) e)
-          | Ok (d2, rep2) ->
-            if F.equal cached d2 then begin
-              r.det_certified <- Some cached;
-              Ok (cached, prepend_rejections rejs rep2)
-            end
-            else begin
-              let rejs =
-                stale_rejection rejs
-                  "cached charpoly determinant disagrees with fresh evaluation"
-                :: rejs
-              in
-              evict t fp;
-              if rebuilds > 0 then go (rebuilds - 1) rejs
+            | Error e -> Error (O.with_report (prepend_rejections rejs) e)
+            | Ok (d2, rep2) ->
+              if F.equal cached d2 then begin
+                r.det_certified <- Some cached;
+                Ok (cached, prepend_rejections rejs rep2)
+              end
               else
-                match
-                  S.det ~retries:t.cfg.retries ~strategy:t.cfg.strategy
-                    ?card_s:t.cfg.card_s ?deadline_ns:(dl t deadline_ns)
-                    ?pool:t.cfg.pool ?shards:t.cfg.shards
-                    ~precond:t.cfg.precond t.st a
-                with
-                | Ok (d, r) -> Ok (d, prepend_rejections rejs r)
-                | Error e -> Error (O.with_report (prepend_rejections rejs) e)
-            end)))
+                stale fp
+                  "cached charpoly determinant disagrees with fresh evaluation")))
     in
     go (max 1 t.cfg.retries) []
 

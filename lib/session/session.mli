@@ -2,9 +2,9 @@
     Kaltofen–Pan pipeline, serve many solves/dets/inverses from it.
 
     The Theorem-4 straight-line program splits at the right-hand side: the
-    §2 preconditioning Ã = A·H·D, the Krylov squarings Ã{^2{^i}}, the §3
-    Toeplitz/characteristic-polynomial stage and det(H·D) are functions of
-    (A, h, d) alone.  A session computes that prefix {e once} per matrix —
+    §2 preconditioning Ã = A·H·D, the Krylov squarings Ã{^2{^i}} and the
+    §3 Toeplitz/characteristic-polynomial stage are functions of (A, h, d)
+    alone.  A session computes that prefix {e once} per matrix —
     through the certified {!Kp_core.Solver.Make.precompute} retry loop —
     keys it by a {!Fingerprint.t}, and answers every subsequent
     [solve]/[det]/[inverse] on the same matrix with only the per-RHS
@@ -134,11 +134,13 @@ module Make
   val det :
     ?key:string -> ?deadline_ns:int64 ->
     t -> M.t -> (F.t * O.report, O.error) result
-  (** det(A) from the cached characteristic polynomial.  First serve per
-      entry cross-checks against one fresh independent evaluation
-      ({!S.det_once}) — agreement certifies the cache (later serves are
-      free), disagreement evicts and rebuilds.  Singular inputs report
-      [Ok (F.zero, _)] exactly as {!S.det} does. *)
+  (** det(A) from the cached characteristic polynomial and det(P), which
+      the first det query per entry evaluates (solves never pay for it).
+      That first serve cross-checks against one fresh independent
+      evaluation ({!S.det_once}) — agreement certifies the cache (later
+      serves are free); disagreement, or a det(P) that is zero or raises,
+      is a typed [Stale_cache] that evicts and rebuilds.  Singular inputs
+      report [Ok (F.zero, _)] exactly as {!S.det} does. *)
 
   val inverse :
     ?key:string -> ?deadline_ns:int64 ->
@@ -154,6 +156,14 @@ module Make
       certification), returning [false] if nothing is cached.  Lets the
       chaos suite plant a corrupted charpoly and assert it is detected,
       evicted and never served. *)
+
+  val poison_precond :
+    ?key:string -> t -> M.t -> (F.t Kp_precond.Precond.t -> F.t Kp_precond.Precond.t) -> bool
+  (** {b Fault-injection hook for tests}: destructively replace the cached
+      preconditioner P of the entry for this matrix (and drop its
+      determinant certification), returning [false] if nothing is cached.
+      det(P) is evaluated on the first det query, so a P whose det is zero
+      or raises must surface there as a typed [Stale_cache]. *)
 
   val poison_kind :
     ?key:string -> t -> M.t -> Kp_precond.Precond.kind -> bool

@@ -65,6 +65,22 @@ let prop_conv_ntt =
       with_each_pool (fun ~domains:_ pool ->
           Array.for_all2 F.equal (NK.mul_full_pool (Some pool) a b) expected))
 
+(* the word NTT behind Conv.For_field: its butterfly levels split over the
+   pool's domains, all reading one shared twiddle table *)
+let prop_conv_word_ntt =
+  QCheck.Test.make ~name:"word NTT mul_full_pool = mul_full (domains 1/2/4)"
+    ~count:4
+    (QCheck.triple (QCheck.int_range 1 5000) (QCheck.int_range 1 5000)
+       QCheck.small_int)
+    (fun (la, lb, seed) ->
+      let module W = Kp_poly.Conv.For_field (F) in
+      let st = Kp_util.Rng.make (seed + la + (7 * lb)) in
+      let a = rand_array st la and b = rand_array st lb in
+      let expected = CK.mul_full a b in
+      with_each_pool (fun ~domains:_ pool ->
+          Array.for_all2 F.equal (W.mul_full_pool (Some pool) a b) expected)
+      && Array.for_all2 F.equal (W.mul_full a b) expected)
+
 (* Toeplitz charpoly: the §3 Newton/Gohberg-Semencul tower end-to-end *)
 let prop_toeplitz_charpoly =
   QCheck.Test.make
@@ -177,6 +193,7 @@ let () =
             prop_mul_parallel;
             prop_conv_karatsuba;
             prop_conv_ntt;
+            prop_conv_word_ntt;
             prop_toeplitz_charpoly;
             prop_chistov_charpoly;
             prop_sharded_mul;

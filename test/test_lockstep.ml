@@ -49,7 +49,7 @@ module Rows (F : Kp_field.Field_intf.FIELD) = struct
   let scalar d = digest [ d ]
 
   let precomp (pc : S.P.precomp) =
-    digest (pc.S.P.dhd :: Array.to_list pc.S.P.charpoly_f)
+    digest (pc.S.P.p_pre.Pc.det () :: Array.to_list pc.S.P.charpoly_f)
 
   let row show est = function
     | Ok (v, r) ->
@@ -72,6 +72,13 @@ module Rows (F : Kp_field.Field_intf.FIELD) = struct
     (a, M.matvec a x, rhs2)
 
   let engine seed = Kp_util.Rng.make (1000 + seed)
+
+  (* whether det(P) = 0 for an accepted precompute; [None] when refused *)
+  let precompute_det_p ~seed ~n ~rank ?shards ~precond () =
+    let a, _, _ = input ~seed ~n ~rank in
+    match S.precompute ?shards ~precond (engine seed) a with
+    | Ok (pc, _) -> Some (F.is_zero (pc.S.P.p_pre.Pc.det ()))
+    | Error _ -> None
 
   (* every entry point on one input; [precond]/[shards] select the
      preconditioner and product variants *)
@@ -348,6 +355,27 @@ let expected =
      "rank=16 next=714414339");
   ]
 
+(* Solver.precompute has no det(P) gate: an accepted certificate is the
+   full-degree charpoly f of Ã = A·P with f(0) ≠ 0, so det P ≠ 0 follows.
+   Check it on every lockstep input whose precompute is accepted. *)
+let test_precompute_det_p () =
+  let zero_det_p =
+    List.filter_map
+      (fun (tag, r) -> if r = Some true then Some tag else None)
+      [
+        ("gf97 8", R97.precompute_det_p ~seed:8 ~n:12 ~rank:12 ~precond:auto ());
+        ("gf97 18", R97.precompute_det_p ~seed:18 ~n:12 ~rank:12 ~precond:auto ());
+        ("gf97 19", R97.precompute_det_p ~seed:19 ~n:12 ~rank:12 ~precond:auto ());
+        ("ntt 5", Rntt.precompute_det_p ~seed:5 ~n:16 ~rank:16 ~precond:auto ());
+        ("ntt-butterfly 5",
+         Rntt.precompute_det_p ~seed:5 ~n:16 ~rank:16 ~precond:butterfly ());
+        ("ntt-shards2 5",
+         Rntt.precompute_det_p ~seed:5 ~n:16 ~rank:16 ~shards:2 ~precond:auto ());
+      ]
+  in
+  Alcotest.(check (list string)) "accepted precomputes with det(P) = 0" []
+    zero_det_p
+
 let () =
   Alcotest.run "lockstep"
     [
@@ -359,4 +387,7 @@ let () =
                 | Some e -> Alcotest.(check string) k e v
                 | None -> Alcotest.failf "%s: no pinned value (got %S)" k v))
           (all_rows ()) );
+      ( "precompute",
+        [ Alcotest.test_case "accepted precompute has det(P) <> 0" `Quick
+            test_precompute_det_p ] );
     ]

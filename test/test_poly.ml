@@ -10,6 +10,8 @@ module S = Kp_poly.Series.Make (F)
 module SQ = Kp_poly.Series.Make (Q)
 module Ntt = Kp_poly.Ntt
 
+let ntt = Ntt.create F.p
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -229,27 +231,27 @@ let test_series_mul_matches_dense () =
 
 let test_ntt_roundtrip () =
   let st = Random.State.make [| 40 |] in
-  let a = Array.init 64 (fun _ -> Random.State.int st Ntt.p) in
+  let a = Array.init 64 (fun _ -> Random.State.int st F.p) in
   let b = Array.copy a in
-  Ntt.transform b ~inverse:false;
-  Ntt.transform b ~inverse:true;
+  Ntt.transform ntt b ~inverse:false;
+  Ntt.transform ntt b ~inverse:true;
   check_bool "roundtrip" true (a = b)
 
 let test_ntt_convolution_matches () =
   let st = Random.State.make [| 41 |] in
   for _ = 1 to 10 do
     let la = 1 + Random.State.int st 100 and lb = 1 + Random.State.int st 100 in
-    let a = Array.init la (fun _ -> Random.State.int st Ntt.p) in
-    let b = Array.init lb (fun _ -> Random.State.int st Ntt.p) in
-    let fast = Ntt.convolution a b in
+    let a = Array.init la (fun _ -> Random.State.int st F.p) in
+    let b = Array.init lb (fun _ -> Random.State.int st F.p) in
+    let fast = Ntt.convolution ntt a b in
     let slow = S.mul_full a b in
     check_bool "ntt = karatsuba" true (fast = slow)
   done;
-  check_bool "empty" true (Ntt.convolution [||] [| 1 |] = [||])
+  check_bool "empty" true (Ntt.convolution ntt [||] [| 1 |] = [||])
 
 let test_ntt_rejects_bad_length () =
   check_bool "non power of two" true
-    (try Ntt.transform (Array.make 12 0) ~inverse:false; false
+    (try Ntt.transform ntt (Array.make 12 0) ~inverse:false; false
      with Invalid_argument _ -> true)
 
 let test_ntt_generic_matches_specialized () =
@@ -262,7 +264,7 @@ let test_ntt_generic_matches_specialized () =
     let a = Array.init la (fun _ -> F.random st) in
     let b = Array.init lb (fun _ -> F.random st) in
     check_bool "generic NTT = specialized NTT" true
-      (NG.mul_full a b = Ntt.convolution a b)
+      (NG.mul_full a b = Ntt.convolution ntt a b)
   done
 
 let test_ntt_generic_over_counting () =
@@ -278,7 +280,7 @@ let test_ntt_generic_over_counting () =
   (* 3 transforms of size 128 at ~(m/2) log m butterflies with 1 mul + 2 adds *)
   check_bool "counted a plausible butterfly volume" true
     (total > 3 * 64 * 7 && total < 3 * 64 * 7 * 6);
-  check_bool "result correct" true (NG.mul_full a b = Ntt.convolution a b)
+  check_bool "result correct" true (NG.mul_full a b = Ntt.convolution ntt a b)
 
 let test_ntt_root_table_cap () =
   (* the per-length root-table cache is bounded: convolving at many
@@ -315,6 +317,74 @@ let test_ntt_root_table_cap () =
       (NG.mul_full a b = S.mul_full a b)
   done;
   check_bool "still within cap" true (NG.root_tables_cached () <= 8)
+
+(* the multiplier rule, one row per prime: the word NTT up to the 2-adic
+   limit 2^v2(p-1), Karatsuba past it *)
+let test_for_field_rule () =
+  List.iter
+    (fun (p, k) ->
+      let module C = Kp_poly.Conv.For_field ((val Kp_field.Gfp.make p)) in
+      let lbl what = Printf.sprintf "GF(%d) %s" p what in
+      check_bool (lbl "2-adic limit") true (C.ntt_max_log2 = Some k);
+      check_bool (lbl "NTT at the limit") true (C.uses_ntt (1 lsl k));
+      check_bool (lbl "Karatsuba past the limit") false
+        (C.uses_ntt ((1 lsl k) + 1)))
+    [ (998_244_353, 23); (7_340_033, 20); (97, 5); (1_073_741_789, 2) ];
+  let module C = Kp_poly.Conv.For_field (Kp_field.Fields.Gf2_16) in
+  check_bool "generic representation: Karatsuba" true
+    (C.ntt_max_log2 = None && not (C.uses_ntt 2))
+
+(* the word route against Karatsuba at the edge lengths: empty, 1, 2^k±1,
+   and past the prime's limit (the Karatsuba fallback) *)
+let test_word_ntt_edges () =
+  List.iter
+    (fun p ->
+      let module G = (val Kp_field.Gfp.make p) in
+      let module C = Kp_poly.Conv.For_field (G) in
+      let module K = Kp_poly.Conv.Karatsuba (G) in
+      let st = Random.State.make [| p |] in
+      let limit = 1 lsl Option.get C.ntt_max_log2 in
+      let lengths =
+        [ 0; 1; 2; 3 ]
+        @ List.concat_map (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ])
+            [ 2; 4; 5; 7; 9 ]
+        @ [ limit - 1; limit; limit + 1; (2 * limit) + 3 ]
+      in
+      List.iter
+        (fun la ->
+          List.iter
+            (fun lb ->
+              if la <= 4096 && lb <= 4096 && la * lb <= 1 lsl 16 then begin
+                let a = Array.init la (fun _ -> G.random st) in
+                let b = Array.init lb (fun _ -> G.random st) in
+                check_bool
+                  (Printf.sprintf "GF(%d) %dx%d word route = Karatsuba" p la lb)
+                  true
+                  (C.mul_full a b = K.mul_full a b)
+              end)
+            [ 0; 1; la; la + 1; max 0 (la - 1) ])
+        lengths)
+    [ 998_244_353; 97; 1_073_741_789 ]
+
+(* applying the functor builds no table and searches no root; the table
+   then holds exactly the longest transform requested *)
+let test_word_ntt_lazy_table () =
+  let module C = Kp_poly.Conv.For_field ((val Kp_field.Gfp.make 7_340_033)) in
+  check_int "no table at functor application" 0 (C.twiddles_held ());
+  let prod la lb = ignore (C.mul_full (Array.make la 1) (Array.make lb 2)) in
+  prod 1 1;
+  check_int "length-1 product needs no table" 0 (C.twiddles_held ());
+  prod 40 25;
+  check_int "table = the transform of a length-64 product" 64
+    (C.twiddles_held ());
+  prod 3 3;
+  check_int "a shorter product reuses it" 64 (C.twiddles_held ());
+  prod 300 200;
+  check_int "grown by doubling to 512" 512 (C.twiddles_held ());
+  let e = Ntt.create 998_244_353 in
+  check_int "a bare engine holds nothing" 0 (Ntt.table_size e);
+  Ntt.transform e (Array.make 8 1) ~inverse:true;
+  check_int "an inverse transform shares the table" 8 (Ntt.table_size e)
 
 (* ---- qcheck ---- *)
 
@@ -388,6 +458,9 @@ let () =
           Alcotest.test_case "generic = specialized" `Quick test_ntt_generic_matches_specialized;
           Alcotest.test_case "generic over counting" `Quick test_ntt_generic_over_counting;
           Alcotest.test_case "root-table cache capped" `Quick test_ntt_root_table_cap;
+          Alcotest.test_case "multiplier rule per prime" `Quick test_for_field_rule;
+          Alcotest.test_case "word route = Karatsuba at edges" `Quick test_word_ntt_edges;
+          Alcotest.test_case "twiddle table lazy and bounded" `Quick test_word_ntt_lazy_table;
         ] );
       ( "properties",
         qtests [ prop_mul_commutative; prop_mul_degree; prop_distributive; prop_eval_hom ] );

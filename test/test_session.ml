@@ -272,6 +272,14 @@ module FI = struct
      typed Stale_cache eviction and rebuild, for both serve paths *)
   let test_poisoned_kind () =
     let module Pc = Kp_precond.Precond in
+    (* [setup]'s session resolves the default choice, which KP_PRECOND may
+       move: poison with kinds that differ from the resolved one *)
+    let live = Pc.resolve (Pc.default_choice ()) in
+    let poison, poison' =
+      match List.filter (fun k -> k <> live) Pc.all_kinds with
+      | k :: k' :: _ -> (k, k')
+      | _ -> assert false
+    in
     List.iter
       (fun seed ->
         let a, b, sess = setup seed in
@@ -279,7 +287,7 @@ module FI = struct
         | Ok _ -> ()
         | Error e -> Alcotest.failf "build: %s" (Kp_robust.Outcome.error_to_string e));
         Alcotest.(check bool) "poison hook found the entry" true
-          (Sess.poison_kind sess a Pc.Sparse_butterfly);
+          (Sess.poison_kind sess a poison);
         (match Sess.solve sess a b with
         | Ok (x, report) ->
           Alcotest.(check bool) "cross-kind solve recovers the oracle answer"
@@ -295,7 +303,7 @@ module FI = struct
         Alcotest.(check int) "rebuilt exactly once" 2 s.Sess.misses;
         (* the same guard covers the det path *)
         Alcotest.(check bool) "poison hook found the rebuilt entry" true
-          (Sess.poison_kind sess a Pc.Ext_field);
+          (Sess.poison_kind sess a poison');
         (match Sess.det sess a with
         | Ok (d, report) ->
           Alcotest.(check bool) "cross-kind det = oracle" true
@@ -341,6 +349,43 @@ module FI = struct
     Alcotest.(check int) "sparse session built its own entry" 1
       (Sess.stats sparse_sess).Sess.misses
 
+  (* det(P) is evaluated on the first det query, not at build: a P whose
+     det is zero or raises there (a fault the build's certificate could not
+     see) is a typed Stale_cache — evict, rebuild, serve the true det — and
+     no exception escapes *)
+  let test_det_p_at_query () =
+    let broken =
+      [
+        ("zero", fun () -> F.zero);
+        ("Division_by_zero", fun () -> raise Division_by_zero);
+        ("injected fault", fun () -> raise (Kp_robust.Fault.Injected "det(P)"));
+      ]
+    in
+    List.iter
+      (fun (what, det) ->
+        let seed = List.hd Test_seeds.shared_seeds in
+        let a, b, sess = setup seed in
+        (match Sess.solve sess a b with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "build: %s" (Kp_robust.Outcome.error_to_string e));
+        Alcotest.(check bool) "poison hook found the entry" true
+          (Sess.poison_precond sess a (fun p -> { p with Kp_precond.Precond.det }));
+        (match Sess.det sess a with
+        | Ok (d, report) ->
+          Alcotest.(check bool) (what ^ ": served det = oracle") true
+            (F.equal d (G.det a));
+          Alcotest.(check bool) (what ^ ": report carries Stale_cache") true
+            (has_stale_rejection report)
+        | Error e ->
+          Alcotest.failf "%s: det(P) at query: %s" what
+            (Kp_robust.Outcome.error_to_string e)
+        | exception e ->
+          Alcotest.failf "%s: exception escaped: %s" what (Printexc.to_string e));
+        let s = Sess.stats sess in
+        Alcotest.(check int) (what ^ ": evicted") 1 s.Sess.evictions;
+        Alcotest.(check int) (what ^ ": rebuilt") 2 s.Sess.misses)
+      broken
+
   let tests =
     [
       Alcotest.test_case "poisoned charpoly: solve detects, evicts, rebuilds"
@@ -353,6 +398,8 @@ module FI = struct
         `Quick test_poisoned_kind;
       Alcotest.test_case "kind partitions the cache (no cross-kind reuse)"
         `Quick test_cross_kind_sessions;
+      Alcotest.test_case "det(P) zero or raising at query: Stale_cache"
+        `Quick test_det_p_at_query;
     ]
 end
 

@@ -80,11 +80,23 @@ let test_det_blackbox () =
 
 let test_det_singular_blackbox () =
   let st = st0 5 in
+  let witnesses () =
+    Option.value ~default:0 (Kp_obs.Counter.find "wiedemann.singular_witnesses")
+  in
   for _ = 1 to 4 do
     let n = 4 + Random.State.int st 5 in
     let a = M.random_of_rank st n ~rank:(n - 1) in
+    let before = witnesses () in
     match W.det st (Bb.of_dense a) with
-    | Ok (d, _) -> check_bool "det 0 certified" true (F.is_zero d)
+    | Ok (d, report) ->
+      check_bool "det 0 certified" true (F.is_zero d);
+      (* each witness is counted once (by the retry engine), not twice *)
+      check_int "singular_witnesses counter = witnessed rejections"
+        (List.length
+           (List.filter
+              (fun (r : W.O.rejection) -> r.W.O.reason = W.O.Zero_constant_term)
+              report.W.O.rejections))
+        (witnesses () - before)
     | Error _ -> Alcotest.fail "singular det should certify zero"
   done
 
